@@ -115,7 +115,6 @@ class STTRAMArray:
         bit_indices: Sequence[int],
         scheme: SensingScheme,
         rng: Optional[np.random.Generator] = None,
-        assume_distinct: bool = False,
         **kwargs,
     ) -> BatchReadResult:
         """Read the given cells as one batch and sync the array state.
@@ -123,9 +122,6 @@ class STTRAMArray:
         The indices must be distinct: a batched read senses every cell
         once, concurrently, so reading the same cell twice in one batch has
         no sequential meaning (issue separate calls instead).
-        ``assume_distinct=True`` skips the O(n log n) uniqueness check for
-        callers whose indices are distinct by construction (e.g. codeword
-        spans of distinct word addresses) — it changes nothing else.
         """
         idx = np.asarray(bit_indices, dtype=np.intp)
         if idx.ndim != 1:
@@ -134,7 +130,7 @@ class STTRAMArray:
             raise IndexError(
                 f"bit indices out of range [0, {self.size_bits}): {idx.min()}..{idx.max()}"
             )
-        if not assume_distinct and np.unique(idx).size != idx.size:
+        if np.unique(idx).size != idx.size:
             raise ConfigurationError("bit_indices must be distinct within one batch")
         _meter_array_read("read_bits", int(idx.size))
         states = self._states[idx].copy()

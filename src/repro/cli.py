@@ -26,6 +26,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.report import format_table, render_series
+from repro.errors import ConfigurationError
 
 __all__ = ["main", "build_parser", "Experiment", "EXPERIMENTS", "package_version"]
 
@@ -40,6 +41,14 @@ def package_version() -> str:
     import repro
 
     return repro.__version__
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _cmd_table1(args) -> None:
@@ -569,17 +578,12 @@ def _cmd_export(args) -> None:
 
 def _serve_topology(args):
     """The parsed :class:`~repro.service.Topology`, or None without
-    ``--topology``; spec errors surface as clean CLI messages."""
-    from repro.errors import ConfigurationError
+    ``--topology``."""
     from repro.service import Topology
 
     if not args.topology:
         return None
-    try:
-        return Topology.parse(args.topology, rows=args.rows)
-    except ConfigurationError as error:
-        print(f"error: invalid topology: {error}")
-        raise SystemExit(2) from None
+    return Topology.parse(args.topology, rows=args.rows)
 
 
 def _serve_addresses(args) -> int:
@@ -621,55 +625,43 @@ def _serve_requests(args):
 
 
 def _serve_config(args):
-    """The :class:`ControllerConfig` for ``repro serve``, with knob errors
-    surfaced as clean CLI messages rather than tracebacks."""
-    from repro.errors import ConfigurationError
+    """The :class:`ControllerConfig` for ``repro serve``."""
     from repro.service import ControllerConfig, scheme_service_times
 
     read_time, write_time = scheme_service_times(args.scheme)
-    try:
-        return ControllerConfig(
-            read_time=read_time, write_time=write_time, banks=args.banks,
-            batch_limit=args.batch_limit,
-            batch_extra_fraction=args.batch_extra_fraction,
-            backend_window=args.backend_window,
-            request_retries=args.request_retries,
-            retry_backoff=args.retry_backoff_ns * 1e-9,
-            hedge_after=args.hedge_after_ns * 1e-9,
-        )
-    except ConfigurationError as error:
-        print(f"error: invalid controller configuration: {error}")
-        raise SystemExit(2) from None
+    return ControllerConfig(
+        read_time=read_time, write_time=write_time, banks=args.banks,
+        batch_limit=args.batch_limit,
+        batch_extra_fraction=args.batch_extra_fraction,
+        backend_window=args.backend_window,
+        request_retries=args.request_retries,
+        retry_backoff=args.retry_backoff_ns * 1e-9,
+        hedge_after=args.hedge_after_ns * 1e-9,
+    )
 
 
 def _serve_backed(args) -> bool:
     """Whether the run needs a real array (drift and adaptive imply it)."""
     return (
-        args.backed or args.fault_rate > 0.0
+        args.backed or args.fault_rate != 0.0
         or args.adaptive or args.drift != "none"
     )
 
 
 def _serve_slo(args):
-    """The SLO target and adaptive tuning, with knob errors surfaced as
-    clean CLI messages rather than tracebacks."""
-    from repro.errors import ConfigurationError
+    """The SLO target and adaptive tuning."""
     from repro.service import AdaptiveConfig, SLOTarget
 
-    try:
-        slo = SLOTarget(
-            p99_read_latency=args.slo_p99_ns * 1e-9, guardband=args.guardband
-        )
-        adaptive_config = AdaptiveConfig(
-            control_interval=args.control_interval_ns * 1e-9,
-            window=args.window,
-            burst=args.burst,
-            low_priority_reserve=args.low_priority_reserve,
-            backpressure_depth=args.shed_depth,
-        )
-    except ConfigurationError as error:
-        print(f"error: invalid adaptive configuration: {error}")
-        raise SystemExit(2) from None
+    slo = SLOTarget(
+        p99_read_latency=args.slo_p99_ns * 1e-9, guardband=args.guardband
+    )
+    adaptive_config = AdaptiveConfig(
+        control_interval=args.control_interval_ns * 1e-9,
+        window=args.window,
+        burst=args.burst,
+        low_priority_reserve=args.low_priority_reserve,
+        backpressure_depth=args.shed_depth,
+    )
     return slo, adaptive_config
 
 
@@ -680,7 +672,6 @@ def _serve_drift(args, requests):
     25% of the stream's span, clearing (where the scenario clears at
     all) at 75%.
     """
-    from repro.errors import ConfigurationError
     from repro.faults import (
         aging_rolloff_shift,
         field_disturbance_window,
@@ -693,20 +684,16 @@ def _serve_drift(args, requests):
     span = max(request.time for request in requests)
     offset = args.drift_offset_mv * 1e-3
     start, duration = 0.25 * span, 0.5 * span
-    try:
-        if args.drift == "temperature-ramp":
-            scenario = temperature_ramp(start, duration, offset)
-        elif args.drift == "field-window":
-            scenario = field_disturbance_window(
-                start, duration, offset, flip_fraction=args.drift_flip_fraction
-            )
-        elif args.drift == "rolloff-shift":
-            scenario = aging_rolloff_shift(start, duration, offset)
-        else:
-            scenario = sense_amp_drift_step(start, offset)
-    except ConfigurationError as error:
-        print(f"error: invalid drift scenario: {error}")
-        raise SystemExit(2) from None
+    if args.drift == "temperature-ramp":
+        scenario = temperature_ramp(start, duration, offset)
+    elif args.drift == "field-window":
+        scenario = field_disturbance_window(
+            start, duration, offset, flip_fraction=args.drift_flip_fraction
+        )
+    elif args.drift == "rolloff-shift":
+        scenario = aging_rolloff_shift(start, duration, offset)
+    else:
+        scenario = sense_amp_drift_step(start, offset)
     from repro.streams import stream_rng
 
     return scenario, stream_rng(args.seed, "drift")
@@ -724,17 +711,20 @@ def _serve_failures(args, requests):
     if args.failures == "none":
         return None
     if args.adaptive or args.drift != "none":
-        print("error: --failures does not compose with --adaptive/--drift")
-        raise SystemExit(2)
+        raise ConfigurationError(
+            "--failures does not compose with --adaptive/--drift"
+        )
     topology = _serve_topology(args)
     if args.failures == "channel-outage" and topology is None:
-        print("error: --failures channel-outage takes whole channels "
-              "down and needs --topology")
-        raise SystemExit(2)
+        raise ConfigurationError(
+            "--failures channel-outage takes whole channels down and "
+            "needs --topology"
+        )
     if args.failures != "channel-outage" and topology is not None:
-        print(f"error: --failures {args.failures} runs on the flat "
-              "controller; only channel-outage composes with --topology")
-        raise SystemExit(2)
+        raise ConfigurationError(
+            f"--failures {args.failures} runs on the flat controller; "
+            "only channel-outage composes with --topology"
+        )
     span = max(request.time for request in requests)
     return build_failure_scenario(
         args.failures, span,
@@ -747,42 +737,37 @@ def _serve_failures(args, requests):
 
 def _serve_topology_once(args, requests, failures=None):
     """One sharded topology simulation (see :mod:`repro.service.topology`)."""
-    from repro.errors import ConfigurationError
     from repro.service import scheme_service_times, simulate_topology
 
     if args.adaptive or args.drift != "none":
-        print("error: --topology runs static policies only; "
-              "--adaptive/--drift do not compose with it yet")
-        raise SystemExit(2)
+        raise ConfigurationError(
+            "--topology runs static policies only; --adaptive/--drift do "
+            "not compose with it yet"
+        )
     if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}")
-        raise SystemExit(2)
+        raise ConfigurationError(f"--shards must be >= 1, got {args.shards}")
     topology = _serve_topology(args)
     read_time, write_time = scheme_service_times(args.scheme)
-    try:
-        return simulate_topology(
-            requests,
-            topology,
-            interleave=args.interleave,
-            read_time=read_time,
-            write_time=write_time,
-            policy=args.policy,
-            scheme=args.scheme,
-            offered_rate=args.rate,
-            cache_capacity=args.cache,
-            batch_limit=args.batch_limit,
-            batch_extra_fraction=args.batch_extra_fraction,
-            backend_window=args.backend_window,
-            backend_mode=args.backend_mode,
-            backed=_serve_backed(args),
-            fault_rate=args.fault_rate,
-            seed=args.seed,
-            processes=args.shards,
-            failures=failures,
-        )
-    except ConfigurationError as error:
-        print(f"error: invalid topology configuration: {error}")
-        raise SystemExit(2) from None
+    return simulate_topology(
+        requests,
+        topology,
+        interleave=args.interleave,
+        read_time=read_time,
+        write_time=write_time,
+        policy=args.policy,
+        scheme=args.scheme,
+        offered_rate=args.rate,
+        cache_capacity=args.cache,
+        batch_limit=args.batch_limit,
+        batch_extra_fraction=args.batch_extra_fraction,
+        backend_window=args.backend_window,
+        backend_mode=args.backend_mode,
+        backed=_serve_backed(args),
+        fault_rate=args.fault_rate,
+        seed=args.seed,
+        processes=args.shards,
+        failures=failures,
+    )
 
 
 def _serve_once(args, requests):
@@ -1241,7 +1226,7 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
         help="fraction of requests that are writes (default 0)",
     )
     sub.add_argument(
-        "--cache", type=int, default=0,
+        "--cache", type=_non_negative_int, default=0,
         help="read-cache capacity in words; 0 disables (default 0)",
     )
     sub.add_argument(
@@ -1520,10 +1505,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ConfigurationError` from any command is a user
+    error: it leaves as one ``error: ...`` line and exit status 2, the
+    status argparse uses for its own usage errors.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    EXPERIMENTS[args.experiment].run(args)
+    try:
+        EXPERIMENTS[args.experiment].run(args)
+    except ConfigurationError as error:
+        print(f"error: {error}")
+        raise SystemExit(2) from None
     return 0
 
 

@@ -16,6 +16,7 @@ RNG stream as the historical per-bit loop), and every read can carry a
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,30 @@ from repro.obs import runtime as _obs
 from repro.obs.trace import ECC_CORRECTED, ECC_DETECTED, SCRUB
 
 __all__ = ["EccArray", "EccReadResult", "ScrubReport"]
+
+
+def _stale_repeat(addresses: List[int], changed: np.ndarray) -> Optional[int]:
+    """Where a fused pass over repeated words stops matching the loop.
+
+    The fused pass senses every occurrence of a word from the cells as
+    they were before the pass; a word-by-word loop sees the same cells only
+    while each earlier occurrence leaves them as it found them (always for
+    the nondestructive and conventional kernels).  ``changed`` flags the
+    occurrences whose read left their cells changed.  Returns ``None`` when
+    no occurrence of a repeated word did; otherwise the index of the next
+    occurrence after the first such change, or the change itself when it
+    was the word's last occurrence.
+    """
+    counts = collections.Counter(addresses)
+    for index in np.flatnonzero(changed).tolist():
+        address = addresses[index]
+        if counts[address] > 1:
+            return next(
+                (later for later in range(index + 1, len(addresses))
+                 if addresses[later] == address),
+                index,
+            )
+    return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,19 +210,24 @@ class EccArray:
         require_reliable: bool = False,
         **kwargs,
     ) -> Optional[List[EccReadResult]]:
-        """All-clean fused read of several distinct words, or ``None``.
+        """All-clean fused read of several words, or ``None``.
 
         One batched sensing pass covers the concatenated codeword spans —
         draw-for-draw identical to the *first attempt* of a word-by-word
         loop, because every kernel consumes its RNG in ascending bit order.
-        The pass commits only when no word would have escalated: with a
-        ``retry_policy``, zero metastable/undecided bits (no retry round
-        would have fired); with ``require_reliable``, additionally every
-        decode reliable (no scrub would have fired).  Otherwise the array
-        state *and* the RNG are rewound to their pre-call snapshots and
-        ``None`` is returned, so a word-by-word replay reproduces the
-        scalar loop bit-for-bit.  Per-bit array kwargs cannot be fused and
-        also return ``None``.
+        ``addresses`` may repeat a word: every occurrence is sensed from
+        the same pre-call cells, which is what the loop sees as long as no
+        earlier occurrence changed them (a read that leaves its cells as
+        it found them, as every nondestructive read does).  The pass
+        commits only when no word would have escalated and no repeated
+        word's cells changed: with a ``retry_policy``, zero
+        metastable/undecided bits (no retry round would have fired); with
+        ``require_reliable``, additionally every decode reliable (no scrub
+        would have fired).  Otherwise the array state is left untouched,
+        the RNG is rewound to its pre-call snapshot and ``None`` is
+        returned, so a word-by-word replay reproduces the scalar loop
+        bit-for-bit.  Per-bit array kwargs cannot be fused and also return
+        ``None``.
         """
         return self.probe_words(
             addresses, scheme, rng,
@@ -218,19 +248,17 @@ class EccArray:
 
         Returns ``(results, ())`` when the fused pass commits and
         ``(None, bad)`` when it rewinds, where ``bad`` holds the indices
-        (into ``addresses``) of the words that forced the escalation.
-        Because the probe's draws equal the scalar replay's first-attempt
-        draws, those same words *will* escalate again when replayed —
-        which lets a caller split the group at the bad words and still
-        commit the clean segments fused, instead of bisecting blindly.
-        ``bad`` is empty when the group could not be fused at all (per-bit
-        array kwargs).
+        (into ``addresses``) at which a caller should split the group.
+        For a word that escalated, the probe's draws equal the scalar
+        replay's first-attempt draws, so that word *will* escalate again
+        when replayed.  When a repeated word's read changed its cells (a
+        destructive read whose write-back failed), ``bad`` is the single
+        later occurrence that read stale cells.  Either way the caller can
+        split the group at the hints and still commit the clean segments
+        fused, instead of bisecting blindly.  ``bad`` is empty when the
+        group could not be fused at all (per-bit array kwargs).
         """
         addresses = list(addresses)
-        if len(set(addresses)) != len(addresses):
-            raise ConfigurationError(
-                "addresses must be distinct within one batched read"
-            )
         if not addresses:
             return [], ()
         if any(isinstance(value, np.ndarray) for value in kwargs.values()):
@@ -239,12 +267,26 @@ class EccArray:
         bases = np.array(
             [self._check_address(address) for address in addresses], dtype=np.intp
         )
-        # Codeword spans, group-major: distinct by construction (distinct
-        # word addresses → disjoint [base, base+width) ranges).
+        # Codeword spans, group-major; a repeated word repeats its span.
         spans = (bases[:, None] + np.arange(width, dtype=np.intp)).ravel()
         rng_state = rng.bit_generator.state if rng is not None else None
-        states_before = self.array._states[spans].copy()
-        batch = self.array.read_bits(spans, scheme, rng, assume_distinct=True, **kwargs)
+        # Fancy indexing copies: the kernel's side effects land in
+        # ``states`` and reach the array only when the probe commits.
+        states = self.array._states[spans]
+        batch = scheme.read_many(
+            self.array.population.subset(spans), states, rng=rng, **kwargs
+        )
+
+        if len(set(addresses)) < len(addresses):
+            changed = (states != self.array._states[spans]).reshape(-1, width)
+            stale = _stale_repeat(addresses, changed.any(axis=1))
+            if stale is not None:
+                # Every occurrence read the pre-call cells, so the one at
+                # ``stale`` missed its predecessor's state change: rewind
+                # and let the caller split there.
+                if rng_state is not None:
+                    rng.bit_generator.state = rng_state
+                return None, (stale,)
 
         bad: Tuple[int, ...] = ()
         if retry_policy is not None:
@@ -262,13 +304,13 @@ class EccArray:
                     if status is DecodeStatus.DETECTED
                 )
         if bad:
-            # Rewind: undo the probe's cell-state side effects and RNG
-            # draws so the scalar replay starts from the pre-call world.
-            self.array._states[spans] = states_before
+            # Rewind the RNG draws (the cells were never written) so the
+            # scalar replay starts from the pre-call world.
             if rng_state is not None:
                 rng.bit_generator.state = rng_state
             return None, bad
 
+        self.array._states[spans] = states
         metastable = batch.metastable.reshape(len(addresses), width)
         read_pulses = batch.read_pulses * width
         results = []
@@ -294,13 +336,14 @@ class EccArray:
         retry_policy: Optional[RetryPolicy] = None,
         **kwargs,
     ) -> List[EccReadResult]:
-        """Read several distinct words, fused into one sensing pass when
-        the whole group stays clean.
+        """Read several words, repeats allowed, fused into one sensing
+        pass when the whole group stays clean.
 
         Bit-exact with a loop of :meth:`read_word` over ``addresses`` in
         order, under the same RNG: the fused fast path only commits when
         it is draw-for-draw identical to that loop, and a group that would
-        retry is *split at the escalating words* (the probe's hints): the
+        retry is *split at the probe's hints* (escalating words, or a
+        repeated word whose earlier read changed its cells): the
         clean segments between them still commit fused — each is
         draw-equal to the scalar loop over its own slice, starting from
         the state the previous slice left behind — so only the words that

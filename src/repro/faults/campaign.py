@@ -47,6 +47,7 @@ from repro.faults.models import (
     SenseOffsetDrift,
     StuckOpenFault,
     StuckShortFault,
+    _check_rate,
 )
 from repro.faults.recovery import RecoveryController
 from repro.obs import runtime as _obs
@@ -67,7 +68,11 @@ def default_fault_models(rate: float, transients: bool = True) -> Tuple:
     ``rate`` is split evenly between the two stuck defects; a quarter of
     it drives read-disturb flips.  ``transients`` additionally enables the
     analog nuisances (offset drift, bit-line noise) at fixed magnitudes.
+    ``rate`` is the per-cell probability of a stuck defect, so it must
+    lie in [0, 1]: above 1 the two halves would each still be a valid
+    probability while together exceeding certainty.
     """
+    _check_rate(rate)
     models = [
         StuckShortFault(rate=rate / 2.0),
         StuckOpenFault(rate=rate / 2.0),

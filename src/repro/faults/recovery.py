@@ -234,17 +234,21 @@ class RecoveryController:
         rng: Optional[np.random.Generator] = None,
         **kwargs,
     ) -> List[Union[RecoveredWord, LostWord]]:
-        """Read a coalesced group of distinct words through the ladder.
+        """Read a coalesced group of words through the ladder.
 
-        The whole group is first attempted as ONE fused sensing pass
-        (:meth:`~repro.ecc.array.EccArray.try_read_words` with
+        ``addresses`` may repeat a word.  The whole group is first
+        attempted as ONE fused sensing pass
+        (:meth:`~repro.ecc.array.EccArray.probe_words` with
         ``require_reliable=True``): when no word needs anything beyond a
         clean-or-ECC-corrected first read — the overwhelmingly common case
-        — the group costs a single vectorized kernel call.  If *any* word
-        would escalate (retry, scrub, or repair), the pass is rewound and
-        the group *splits at the escalating words* (the probe's hints):
-        the clean segments between them still commit fused, and only the
-        escalating words reach the scalar :meth:`read_word` ladder.
+        — the group costs a single vectorized kernel call, repeats
+        included, because a read that leaves its cells unchanged lets the
+        next occurrence see what the loop would.  If *any* word would
+        escalate (retry, scrub, or repair), or a repeated word's read
+        changed its cells, the pass is rewound and the group *splits at
+        the probe's hints*: the clean segments between them still commit
+        fused, and only the hinted words reach the scalar
+        :meth:`read_word` ladder.
         Because processing stays strictly in address order and every
         committed fused slice is draw-equal to the scalar loop over that
         slice, the result stream, the tier counters, and every RNG draw

@@ -378,13 +378,15 @@ class ArrayBackend:
         * Sensing draws are group-major: the fused clean pass consumes the
           read stream exactly as a word-by-word loop's first attempts
           would, and any group that needs the ladder is rewound and split
-          at the escalating words (clean segments re-fuse, escalating
-          words replay through the scalar ladder), so the stream stays
-          bit-exact with the scalar loop in every case.
+          at the probe's hints (clean segments re-fuse, hinted words
+          replay through the scalar ladder), so the stream stays bit-exact
+          with the scalar loop in every case.
 
-        Addresses may repeat: a repeated word ends the current fused run
-        and starts a new one (re-reading the same cells within one batch
-        has no sequential meaning), preserving loop order and semantics.
+        Addresses may repeat: a repeated (hot) word rides in the same
+        fused pass, which is exact because a read that leaves its cells
+        unchanged — every nondestructive read — shows the next occurrence
+        the cells the loop would show it.  A repeated word whose read did
+        change its cells splits the group there.
         """
         addresses = list(addresses)
         if not addresses:
@@ -399,36 +401,18 @@ class ArrayBackend:
                 len(addresses),
                 edges=BATCH_SIZE_EDGES,
             )
-        outcomes: List[Tuple[int, bool]] = []
-        start = 0
-        while start < len(addresses):
-            stop = start
-            seen = set()
-            while stop < len(addresses):
-                physical = self._physical(addresses[stop])
-                if physical in seen:
-                    break
-                seen.add(physical)
-                stop += 1
-            outcomes.extend(self._read_group(addresses[start:stop], scheme))
-            start = stop
-        return outcomes
-
-    def _read_group(self, addresses, scheme) -> List[Tuple[int, bool]]:
-        """One fused ladder call over distinct words, scalar accounting."""
         self.reads += len(addresses)
-        words = self.memory.read_words(
-            [self._physical(address) for address in addresses], scheme, self.rng
-        )
-        outcomes = []
-        for address, word in zip(addresses, words):
+        physicals = [self._physical(address) for address in addresses]
+        words = self.memory.read_words(physicals, scheme, self.rng)
+        outcomes: List[Tuple[int, bool]] = []
+        for physical, word in zip(physicals, words):
             if word.failed:
                 self.failed_words += 1
                 attempts, failed = max(1, word.attempts), True
             else:
                 if word.attempts > 1:
                     self.retried_words += 1
-                expected = self._truth.get(self._physical(address))
+                expected = self._truth.get(physical)
                 if expected is not None and word.value != expected:
                     self.corrupted_words += 1
                 attempts, failed = word.attempts, False
@@ -1110,8 +1094,13 @@ def build_backend(
     once per word (see :meth:`ArrayBackend.read_batch`).
 
     Returns ``(backend, retry_policy)`` — the policy so the controller can
-    charge simulated backoff time for retried reads.
+    charge simulated backoff time for retried reads.  ``fault_rate`` is a
+    per-cell probability and must lie in [0, 1].
     """
+    if not 0.0 <= fault_rate <= 1.0:
+        raise ConfigurationError(
+            f"fault rate must lie in [0, 1], got {fault_rate}"
+        )
     from repro.array.array import STTRAMArray
     from repro.array.testchip import TESTCHIP_VARIATION
     from repro.calibration import calibrate

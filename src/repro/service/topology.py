@@ -128,7 +128,8 @@ class Topology:
             channels, ranks, banks = (int(part) for part in parts)
         except ValueError:
             raise ConfigurationError(
-                f"topology must be CHANNELSxRANKSxBANKS, got {spec!r}"
+                f"invalid topology {spec!r}: expected CHANNELSxRANKSxBANKS, "
+                "e.g. 4x2x4"
             ) from None
         return cls(channels=channels, ranks=ranks, banks=banks, rows=rows)
 

@@ -85,6 +85,41 @@ class TestCommands:
         assert (tmp_path / "fig6_beta_sweep.csv").exists()
 
 
+class TestUserErrors:
+    """Impossible inputs leave as one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("command, message", [
+        (["serve", "--requests", "0"], "request count"),
+        (["serve", "--rate", "0"], "arrival rate"),
+        (["prodtest", "--dies", "0"], "dies"),
+        (["serve", "--backed", "--fault-rate", "1.5", "--requests", "50"],
+         "fault rate"),
+        (["serve", "--fault-rate", "-0.1", "--requests", "50"], "fault rate"),
+        (["faults", "--bits", "720", "--rates", "1.5"], "fault rate"),
+    ])
+    def test_configuration_error_exits_2(self, command, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command)
+        assert excinfo.value.code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and message in out
+        assert out.count("\n") == 1
+
+    def test_malformed_trace_in_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("not json\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--trace-in", str(trace)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out.startswith("error: malformed trace")
+
+    def test_negative_cache_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--cache", "-3", "--requests", "50"])
+        assert excinfo.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+
+
 class TestObservabilityCommands:
     """`repro stats` and the --metrics-out/--trace-out artifact flags."""
 

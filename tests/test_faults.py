@@ -50,6 +50,22 @@ class TestFaultModels:
         with pytest.raises(ConfigurationError):
             PowerFailureFault(rate=0.1, phases=())
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_default_fault_set_rejects_impossible_rates(self, rate):
+        # 1.5 would split into stuck-short 0.75 + stuck-open 0.75: each a
+        # valid probability on its own, a mass of 1.5 together.
+        from repro.faults.campaign import default_fault_models
+
+        with pytest.raises(ConfigurationError):
+            default_fault_models(rate)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    def test_build_backend_rejects_impossible_rates(self, rate):
+        from repro.service import build_backend
+
+        with pytest.raises(ConfigurationError, match="fault rate"):
+            build_backend("nondestructive", seed=9, bits=2304, fault_rate=rate)
+
     def test_stuck_population_and_cell_agree(self):
         """The in-place population defect and the scalar cell defect are
         the same junction: materialized stuck cells match."""

@@ -9,6 +9,8 @@ as the historical word-by-word path — the only sanctioned divergence is
 injector noise transients, which deliberately draw once per group.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,14 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.calibration import PAPER_TARGETS, calibrate
+from repro.core.destructive import DestructiveSelfReference
 from repro.core.retry import RetryPolicy
 from repro.array.array import STTRAMArray
 from repro.array.testchip import TESTCHIP_VARIATION
 from repro.device.variation import CellPopulation
 from repro.ecc.array import EccArray
 from repro.ecc.hamming import DecodeStatus, HammingSECDED
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.faults import LostWord, RecoveredWord, build_scheme
 from repro.faults.recovery import RecoveryController
 from repro.service import (
@@ -167,6 +170,24 @@ def chip():
     return population, schemes
 
 
+@pytest.fixture(scope="module")
+def schemes(chip):
+    """The three paper schemes, plus a destructive read with a weak write
+    pulse (switching probability ~0.98), so that its failed erases and
+    write-backs often leave a word's cells changed."""
+    calibration = calibrate()
+    built = dict(chip[1])
+    built["conventional"] = build_scheme(
+        "conventional", calibration, PAPER_TARGETS.r_transistor
+    )
+    built["destructive-weak-write"] = DestructiveSelfReference(
+        i_read2=PAPER_TARGETS.i_read_max,
+        beta=calibration.beta_destructive,
+        write_overdrive=1.0,
+    )
+    return built
+
+
 def _fresh_memory(chip, data_bits=8, seed=11):
     population, schemes = chip
     memory = EccArray(STTRAMArray(population.subset(np.arange(population.size))),
@@ -217,10 +238,60 @@ class TestProbeWords:
         assert rng.bit_generator.state == state_before
         assert memory.statistics == stats_before  # nothing committed
 
-    def test_duplicate_addresses_rejected(self, chip):
+    @pytest.mark.parametrize("name", ["nondestructive", "conventional"])
+    def test_repeated_words_commit_fused(self, chip, schemes, name):
+        # These kernels never touch the cell states, so a second read of a
+        # word inside the group sees what the loop's second read sees.
+        policy = RetryPolicy(max_attempts=3, backoff_ns=5.0)
+        fused_mem, _ = _fresh_memory(chip)
+        loop_mem, _ = _fresh_memory(chip)
+        scheme = schemes[name]
+        addresses = [0, 3, 0, 1, 3, 3, 7]
+        rng_a = np.random.default_rng(77)
+        rng_b = np.random.default_rng(77)
+        fused, bad = fused_mem.probe_words(addresses, scheme, rng_a,
+                                           retry_policy=policy)
+        assert fused is not None and bad == ()
+        loop = [loop_mem.read_word(a, scheme, rng_b, retry_policy=policy)
+                for a in addresses]
+        assert fused == loop
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert np.array_equal(fused_mem.array._states,
+                              loop_mem.array._states)
+        assert fused_mem.statistics == loop_mem.statistics
+
+    def test_repeat_whose_read_changes_cells_rewinds(self, chip):
         memory, schemes = _fresh_memory(chip)
-        with pytest.raises(ConfigurationError):
-            memory.try_read_words([1, 2, 1], schemes["nondestructive"])
+        scheme = schemes["destructive"]
+        width = memory.codec.codeword_bits
+        # A power failure after the erase is a write-back that never
+        # happened: word 0's stored 1s stay erased, so the loop's second
+        # read of word 0 senses erased cells, not the stored ones.
+        assert memory.array._states[:width].any()
+        addresses = [0, 1, 0, 2]
+        states_before = memory.array.stored_bits()
+        stats_before = memory.statistics
+        rng = np.random.default_rng(5)
+        state_before = rng.bit_generator.state
+        fused, bad = memory.probe_words(addresses, scheme, rng,
+                                        power_failure_at="after_erase")
+        assert fused is None
+        assert bad == (2,)  # the later occurrence, which read stale cells
+        assert np.array_equal(memory.array.stored_bits(), states_before)
+        assert rng.bit_generator.state == state_before
+        assert memory.statistics == stats_before
+
+        loop_mem, _ = _fresh_memory(chip)
+        rng_b = np.random.default_rng(5)
+        split = memory.read_words(addresses, scheme, rng,
+                                  power_failure_at="after_erase")
+        loop = [loop_mem.read_word(a, scheme, rng_b,
+                                   power_failure_at="after_erase")
+                for a in addresses]
+        assert split == loop
+        assert rng.bit_generator.state == rng_b.bit_generator.state
+        assert np.array_equal(memory.array._states, loop_mem.array._states)
+        assert memory.statistics == loop_mem.statistics
 
     def test_empty_group(self, chip):
         memory, schemes = _fresh_memory(chip)
@@ -329,6 +400,103 @@ class TestReadBatch:
             loop.read(address)
         assert loop.injector.rng.bit_generator.state != \
             group.injector.rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Repeated words: one fused ladder pass per coalesced group
+# ---------------------------------------------------------------------------
+ALL_SCHEMES = ("nondestructive", "conventional", "destructive",
+               "destructive-weak-write")
+
+
+def _fresh_ladder(chip, seed=11):
+    """A ladder with spares over a memory holding one correctable and one
+    uncorrectable word, so repeats meet every tier."""
+    memory, _ = _fresh_memory(chip, seed=seed)
+    width = memory.codec.codeword_bits
+    memory.array._states[3 * width] ^= 1
+    memory.array._states[5 * width] ^= 1
+    memory.array._states[5 * width + 1] ^= 1
+    return RecoveryController(
+        memory, RetryPolicy(max_attempts=3, backoff_ns=5.0),
+        scrub_rounds=1, spare_words=2,
+    )
+
+
+def _outcome(word):
+    """A ladder result with a lost word's exception reduced to its
+    fields (exceptions compare by identity)."""
+    if isinstance(word, LostWord):
+        return ("lost", word.address, word.attempts)
+    return word
+
+
+def _ladder_loop(ladder, addresses, scheme, rng):
+    """The reference: scalar ``read_word`` per address, losses captured."""
+    outcomes = []
+    for address in addresses:
+        try:
+            outcomes.append(ladder.read_word(address, scheme, rng))
+        except RetryExhaustedError as error:
+            outcomes.append(("lost", address, max(1, error.attempts)))
+    return outcomes
+
+
+class TestRepeatedWords:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(ALL_SCHEMES),
+           addresses=st.lists(st.integers(min_value=0, max_value=7),
+                              min_size=2, max_size=14))
+    def test_property_ladder_read_words_equals_loop(self, chip, schemes,
+                                                    name, addresses):
+        scheme = schemes[name]
+        fused, loop = _fresh_ladder(chip), _fresh_ladder(chip)
+        rng_a = np.random.default_rng(61)
+        rng_b = np.random.default_rng(61)
+        words = fused.read_words(addresses, scheme, rng_a)
+        assert [_outcome(w) for w in words] == \
+            _ladder_loop(loop, addresses, scheme, rng_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert fused.statistics == loop.statistics
+        assert fused.remapped_words == loop.remapped_words
+        assert fused.memory.statistics == loop.memory.statistics
+        assert np.array_equal(fused.memory.array._states,
+                              loop.memory.array._states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(ALL_SCHEMES),
+           addresses=st.lists(st.integers(min_value=0, max_value=30),
+                              min_size=2, max_size=14))
+    def test_property_read_batch_equals_loop(self, chip, schemes, name,
+                                             addresses):
+        # Addresses past the 24-word array wrap onto it, so distinct
+        # service addresses repeat physical words too.
+        batched, scalar = _fresh_backend(chip), _fresh_backend(chip)
+        batched.scheme = scalar.scheme = schemes[name]
+        assert batched.read_batch(addresses) == \
+            [scalar.read(a) for a in addresses]
+        assert batched.statistics() == scalar.statistics()
+        assert batched.rng.bit_generator.state == \
+            scalar.rng.bit_generator.state
+        assert np.array_equal(batched.memory.memory.array._states,
+                              scalar.memory.memory.array._states)
+
+    def test_clean_group_with_repeats_is_one_kernel_call(self, chip):
+        backend = _fresh_backend(chip)
+        scheme = copy.copy(backend.scheme)
+        calls = []
+        read_many = scheme.read_many
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return read_many(*args, **kwargs)
+
+        scheme.read_many = counting
+        backend.scheme = scheme
+        width = backend.memory.memory.codec.codeword_bits
+        group = [3, 5, 3, 3, 9, 5, 27]  # 27 wraps onto word 3
+        assert backend.read_batch(group) == [(1, False)] * len(group)
+        assert calls == [len(group) * width]
 
 
 # ---------------------------------------------------------------------------
